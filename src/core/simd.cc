@@ -3,6 +3,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 
 #if defined(__GNUC__) && !defined(__clang__)
 // GCC's AVX-512 reduce intrinsics expand _mm256_undefined_pd() through
@@ -111,7 +112,7 @@ float L2SqAvx2(const float* a, const float* b, std::size_t dim) {
   float total = HorizontalSum(acc);
   for (; i < dim; ++i) {
     float d = a[i] - b[i];
-    total += d * d;
+    total = std::fma(d, d, total);
   }
   return total;
 }
@@ -126,7 +127,7 @@ float InnerProductAvx2(const float* a, const float* b, std::size_t dim) {
     acc = _mm256_fmadd_ps(va, vb, acc);
   }
   float total = HorizontalSum(acc);
-  for (; i < dim; ++i) total += a[i] * b[i];
+  for (; i < dim; ++i) total = std::fma(a[i], b[i], total);
   return total;
 }
 
@@ -148,7 +149,7 @@ float L2SqAvx512(const float* a, const float* b, std::size_t dim) {
   float total = _mm512_reduce_add_ps(acc);
   for (; i < dim; ++i) {
     float d = a[i] - b[i];
-    total += d * d;
+    total = std::fma(d, d, total);
   }
   return total;
 }
@@ -163,7 +164,7 @@ float InnerProductAvx512(const float* a, const float* b, std::size_t dim) {
     acc = _mm512_fmadd_ps(va, vb, acc);
   }
   float total = _mm512_reduce_add_ps(acc);
-  for (; i < dim; ++i) total += a[i] * b[i];
+  for (; i < dim; ++i) total = std::fma(a[i], b[i], total);
   return total;
 }
 
@@ -193,7 +194,11 @@ float NormSq(const float* a, std::size_t dim) {
 // Four database rows per iteration share each query-register load; every
 // row keeps its own accumulator fed in the same element order as the
 // single-pair kernel of the tier, so per-row results are bit-identical to
-// that kernel (the parity the prefetch-ablation test relies on).
+// that kernel (the parity the prefetch-ablation test relies on). The
+// `dim % width` tails of the SIMD kernels, single-pair and batch, use an
+// explicit std::fma: under GCC's default -ffp-contract=fast a plain
+// `acc += x * y` is fused or not at the vectorizer's whim, and it chooses
+// differently for the single-pair loop than for the four-row body.
 
 namespace {
 
@@ -222,10 +227,10 @@ void L2SqX4Avx2(const float* q, const float* r0, const float* r1,
     float q_i = q[i];
     float d0 = q_i - r0[i], d1 = q_i - r1[i];
     float d2 = q_i - r2[i], d3 = q_i - r3[i];
-    out[0] += d0 * d0;
-    out[1] += d1 * d1;
-    out[2] += d2 * d2;
-    out[3] += d3 * d3;
+    out[0] = std::fma(d0, d0, out[0]);
+    out[1] = std::fma(d1, d1, out[1]);
+    out[2] = std::fma(d2, d2, out[2]);
+    out[3] = std::fma(d3, d3, out[3]);
   }
 }
 
@@ -247,10 +252,10 @@ void IpX4Avx2(const float* q, const float* r0, const float* r1,
   out[3] = HorizontalSum(a3);
   for (; i < dim; ++i) {
     float q_i = q[i];
-    out[0] += q_i * r0[i];
-    out[1] += q_i * r1[i];
-    out[2] += q_i * r2[i];
-    out[3] += q_i * r3[i];
+    out[0] = std::fma(q_i, r0[i], out[0]);
+    out[1] = std::fma(q_i, r1[i], out[1]);
+    out[2] = std::fma(q_i, r2[i], out[2]);
+    out[3] = std::fma(q_i, r3[i], out[3]);
   }
 }
 
@@ -279,10 +284,10 @@ void L2SqX4Avx512(const float* q, const float* r0, const float* r1,
     float q_i = q[i];
     float d0 = q_i - r0[i], d1 = q_i - r1[i];
     float d2 = q_i - r2[i], d3 = q_i - r3[i];
-    out[0] += d0 * d0;
-    out[1] += d1 * d1;
-    out[2] += d2 * d2;
-    out[3] += d3 * d3;
+    out[0] = std::fma(d0, d0, out[0]);
+    out[1] = std::fma(d1, d1, out[1]);
+    out[2] = std::fma(d2, d2, out[2]);
+    out[3] = std::fma(d3, d3, out[3]);
   }
 }
 
@@ -305,10 +310,10 @@ void IpX4Avx512(const float* q, const float* r0, const float* r1,
   out[3] = _mm512_reduce_add_ps(a3);
   for (; i < dim; ++i) {
     float q_i = q[i];
-    out[0] += q_i * r0[i];
-    out[1] += q_i * r1[i];
-    out[2] += q_i * r2[i];
-    out[3] += q_i * r3[i];
+    out[0] = std::fma(q_i, r0[i], out[0]);
+    out[1] = std::fma(q_i, r1[i], out[1]);
+    out[2] = std::fma(q_i, r2[i], out[2]);
+    out[3] = std::fma(q_i, r3[i], out[3]);
   }
 }
 
