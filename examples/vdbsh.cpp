@@ -17,7 +17,9 @@
 // like top(1).
 //
 // Commands may also be given on the command line (`vdbsh .serve 7070`).
-// With no stdin input (e.g. under ctest) it runs a canned demo script.
+// `.demo` runs a canned script (k-NN, hybrid, IN, EXPLAIN ANALYZE and an
+// error) without reading stdin; it is the ctest smoke path. Piped input
+// that turns out empty runs the same script.
 //
 //   echo "SELECT knn(3) FROM products WHERE price < 50.0 ORDER BY
 //         distance([...])" | ./build/examples/vdbsh
@@ -203,6 +205,7 @@ int main(int argc, char** argv) {
               products.Size());
   std::printf("dialect: [EXPLAIN ANALYZE] SELECT knn(k) FROM products "
               "[WHERE <pred>] ORDER BY distance([8 floats])\n");
+  std::printf("         .demo runs a canned query script\n");
   std::printf("         .metrics dumps the Prometheus registry\n");
   std::printf("         .scrub <dir> [quarantine] verifies a data dir's "
               "CRCs\n");
@@ -305,25 +308,9 @@ int main(int argc, char** argv) {
     }
   };
 
-  // Command-line mode: `vdbsh .serve 7070` etc. — one command, no stdin.
-  if (argc > 1) {
-    std::string line = argv[1];
-    for (int i = 2; i < argc; ++i) line += std::string(" ") + argv[i];
-    std::printf("> %s\n", line.c_str());
-    run(line);
-    return 0;
-  }
-
-  std::string line;
-  bool got_input = false;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    got_input = true;
-    std::printf("> %s\n", line.c_str());
-    run(line);
-  }
-  if (!got_input) {
-    // Canned demo (also the ctest smoke path).
+  // Canned script, also the ctest smoke path: `.demo` on the command line
+  // or in the input, and the fallback when piped input is empty.
+  auto demo = [&] {
     std::string vec = VectorLiteral(data, 42);
     std::string demos[] = {
         "SELECT knn(3) FROM products ORDER BY distance(" + vec + ")",
@@ -335,11 +322,38 @@ int main(int argc, char** argv) {
         "ORDER BY distance(" + vec + ")",
         "SELECT knn(3) FROM missing ORDER BY distance(" + vec + ")",
     };
-    for (const auto& demo : demos) {
-      std::printf("> %s\n", demo.c_str());
-      run(demo);
+    for (const auto& line : demos) {
+      std::printf("> %s\n", line.c_str());
+      run(line);
       std::printf("\n");
     }
+  };
+
+  auto command = [&](const std::string& line) {
+    if (line == ".demo") {
+      demo();
+    } else {
+      run(line);
+    }
+  };
+
+  // Command-line mode: `vdbsh .serve 7070` etc. — one command, no stdin.
+  if (argc > 1) {
+    std::string line = argv[1];
+    for (int i = 2; i < argc; ++i) line += std::string(" ") + argv[i];
+    std::printf("> %s\n", line.c_str());
+    command(line);
+    return 0;
   }
+
+  std::string line;
+  bool got_input = false;
+  while (std::getline(std::cin, line)) {
+    if (line.empty()) continue;
+    got_input = true;
+    std::printf("> %s\n", line.c_str());
+    command(line);
+  }
+  if (!got_input) demo();
   return 0;
 }

@@ -314,11 +314,15 @@ Status Collection::BuildIndex() {
 
   index_ = opts_.index_factory();
   if (index_ == nullptr) return Status::Internal("factory returned null");
-  VDB_RETURN_IF_ERROR(index_->Build(data, ids));
+  // The index takes the snapshot; only the partitioned build below still
+  // reads the rows, so only it pays for a copy.
+  const bool partitioned = !opts_.partition_column.empty();
+  VDB_RETURN_IF_ERROR(
+      index_->Build(partitioned ? FloatMatrix(data) : std::move(data), ids));
   indexed_ids_ = {ids.begin(), ids.end()};
   index_tombstones_.clear();
 
-  if (!opts_.partition_column.empty()) {
+  if (partitioned) {
     std::vector<std::int64_t> partition_values(ids.size(), 0);
     const auto* column = attrs_.Int64Column(opts_.partition_column);
     if (column == nullptr) {
@@ -539,6 +543,7 @@ Status Collection::Hybrid(VectorView query, const Predicate& pred,
 
   if (lsm_ != nullptr) {
     // LSM collections run single-stage filtering through the segments.
+    if (stats != nullptr) stats->plan = {PlanKind::kVisitFirstIndexScan, 3.0f};
     PredicateIdFilter filter(&pred, &attrs_);
     p.filter = &filter;
     p.filter_mode = FilterMode::kVisitFirst;
@@ -547,19 +552,19 @@ Status Collection::Hybrid(VectorView query, const Predicate& pred,
   }
 
   HybridPlan plan;
+  double selectivity = -1.0;
   if (forced_plan != nullptr) {
     plan = *forced_plan;
   } else if (optimizer_ != nullptr) {
-    TraceScope plan_span(p.trace, "plan");
-    VDB_ASSIGN_OR_RETURN(plan, optimizer_->Choose(pred, View(), p));
-    plan_span.Note("chosen", plan.ToString());
-    if (stats != nullptr) {
-      auto s = pred.EstimateSelectivity(attrs_);
-      if (s.ok()) stats->est_selectivity = *s;
-    }
+    VDB_ASSIGN_OR_RETURN(plan,
+                         optimizer_->Choose(pred, View(), p, &selectivity));
   } else {
     plan = opts_.predefined_plan;
     if (index_ == nullptr) plan.kind = PlanKind::kBruteForceHybrid;
+  }
+  if (stats != nullptr) {
+    stats->plan = plan;
+    stats->est_selectivity = selectivity;
   }
   HybridExecutor executor(View());
   return executor.Execute(plan, pred, query.data(), p, out, stats);

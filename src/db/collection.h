@@ -153,7 +153,9 @@ class Collection {
                                   SearchStats* stats = nullptr) const;
 
   /// Hybrid (predicated) search; the plan comes from the configured
-  /// PlanMode unless `forced_plan` is given.
+  /// PlanMode unless `forced_plan` is given. The optimizer is consulted at
+  /// most once; `stats` records the plan that ran and the selectivity it
+  /// was chosen at.
   Status Hybrid(VectorView query, const Predicate& pred, std::size_t k,
                 std::vector<Neighbor>* out, ExecStats* stats = nullptr,
                 const HybridPlan* forced_plan = nullptr,

@@ -384,15 +384,12 @@ Result<QueryResult> ExecuteQueryTraced(Database* db, const std::string& text,
           "query deadline expired before execution");
     }
     if (query.has_predicate) {
-      // Report the plan the optimizer would pick; execution re-plans
-      // internally (planning is a cheap selectivity estimate).
-      VDB_ASSIGN_OR_RETURN(HybridPlan plan,
-                           collection->ExplainHybrid(query.predicate, &params));
-      result.plan = plan.ToString();
+      // One plan per query: report the plan Hybrid chose and ran.
       VDB_RETURN_IF_ERROR(collection->Hybrid(query.query_vector,
                                              query.predicate, query.k,
                                              &result.rows, &result.stats,
                                              nullptr, &params));
+      result.plan = result.stats.plan.ToString();
     } else {
       VDB_RETURN_IF_ERROR(collection->Knn(query.query_vector, query.k,
                                           &result.rows, &result.stats.search,

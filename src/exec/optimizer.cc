@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "exec/trace.h"
+
 namespace vdb {
 
 std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
@@ -27,14 +29,28 @@ std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
   return plans;
 }
 
-Result<HybridPlan> RuleBasedOptimizer::Choose(const Predicate& pred,
-                                              const CollectionView& view,
-                                              const SearchParams& params) const {
+Result<HybridPlan> PlanOptimizer::Choose(const Predicate& pred,
+                                         const CollectionView& view,
+                                         const SearchParams& params,
+                                         double* selectivity) const {
+  // The span marks each consultation, so a query's trace shows how often
+  // it planned.
+  TraceScope span(params.trace, "plan");
+  VDB_ASSIGN_OR_RETURN(double s, pred.EstimateSelectivity(*view.attrs));
+  if (selectivity != nullptr) *selectivity = s;
+  HybridPlan plan = ChooseAt(s, pred, view, params);
+  span.Note("chosen", plan.ToString());
+  return plan;
+}
+
+HybridPlan RuleBasedOptimizer::ChooseAt(double s, const Predicate& pred,
+                                        const CollectionView& view,
+                                        const SearchParams& params) const {
+  (void)pred;
   (void)params;
   if (view.index == nullptr) {
     return HybridPlan{PlanKind::kBruteForceHybrid, 3.0f};
   }
-  VDB_ASSIGN_OR_RETURN(double s, pred.EstimateSelectivity(*view.attrs));
   if (s < opts_.brute_force_below) {
     // Few matches: score them all exactly; no index needed.
     return HybridPlan{PlanKind::kBruteForceHybrid, 3.0f};
@@ -94,10 +110,9 @@ double CostBasedOptimizer::EstimateCost(const HybridPlan& plan, double s,
   return std::numeric_limits<double>::max();
 }
 
-Result<HybridPlan> CostBasedOptimizer::Choose(const Predicate& pred,
-                                              const CollectionView& view,
-                                              const SearchParams& params) const {
-  VDB_ASSIGN_OR_RETURN(double s, pred.EstimateSelectivity(*view.attrs));
+HybridPlan CostBasedOptimizer::ChooseAt(double s, const Predicate& pred,
+                                        const CollectionView& view,
+                                        const SearchParams& params) const {
   const std::size_t n = view.vectors->live_count();
   auto plans = EnumeratePlans(view, pred);
   double best_cost = std::numeric_limits<double>::max();

@@ -19,9 +19,18 @@ std::vector<HybridPlan> EnumeratePlans(const CollectionView& view,
 class PlanOptimizer {
  public:
   virtual ~PlanOptimizer() = default;
-  virtual Result<HybridPlan> Choose(const Predicate& pred,
-                                    const CollectionView& view,
-                                    const SearchParams& params) const = 0;
+
+  /// Estimates the selectivity of `pred` once and chooses a plan at it;
+  /// the estimate goes to `*selectivity` when that is non-null. Opens a
+  /// `plan` span on `params.trace`.
+  Result<HybridPlan> Choose(const Predicate& pred, const CollectionView& view,
+                            const SearchParams& params,
+                            double* selectivity = nullptr) const;
+
+  /// The choice at a known selectivity `s`.
+  virtual HybridPlan ChooseAt(double s, const Predicate& pred,
+                              const CollectionView& view,
+                              const SearchParams& params) const = 0;
 };
 
 /// Rule-based selection on selectivity thresholds (the Qdrant/Vespa
@@ -37,8 +46,9 @@ class RuleBasedOptimizer final : public PlanOptimizer {
  public:
   explicit RuleBasedOptimizer(const RuleBasedOptions& opts = {})
       : opts_(opts) {}
-  Result<HybridPlan> Choose(const Predicate& pred, const CollectionView& view,
-                            const SearchParams& params) const override;
+  HybridPlan ChooseAt(double s, const Predicate& pred,
+                      const CollectionView& view,
+                      const SearchParams& params) const override;
 
  private:
   RuleBasedOptions opts_;
@@ -61,8 +71,9 @@ class CostBasedOptimizer final : public PlanOptimizer {
  public:
   explicit CostBasedOptimizer(const CostModel& model = {}) : model_(model) {}
 
-  Result<HybridPlan> Choose(const Predicate& pred, const CollectionView& view,
-                            const SearchParams& params) const override;
+  HybridPlan ChooseAt(double s, const Predicate& pred,
+                      const CollectionView& view,
+                      const SearchParams& params) const override;
 
   /// Estimated cost of one plan at selectivity `s` over `n` rows; exposed
   /// for tests and the E5 benchmark. Plans expected to return fewer than k

@@ -49,7 +49,9 @@ struct ExecStats {
   SearchStats search;
   std::size_t bitmask_rows = 0;   ///< rows touched building a bitmask
   std::size_t matching_rows = 0;  ///< bitmask cardinality (when built)
-  double est_selectivity = -1.0;  ///< optimizer's estimate (when consulted)
+  HybridPlan plan;                ///< the plan that ran
+  double est_selectivity = -1.0;  ///< the estimate `plan` was chosen at
+                                  ///< (-1: no optimizer consulted)
 };
 
 }  // namespace vdb

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 namespace vdb {
@@ -78,40 +79,6 @@ bool Predicate::AsSingleEquality(std::string* column, AttrValue* value) const {
 
 namespace {
 
-// Three-way comparison of a stored value against a literal; returns
-// InvalidArgument on type mismatch.
-Result<int> CompareValues(const AttrValue& stored, const AttrValue& literal) {
-  if (stored.index() != literal.index()) {
-    // int64 vs double comparisons are allowed (numeric promotion).
-    const bool numeric =
-        stored.index() != 2 && literal.index() != 2;
-    if (!numeric) return Status::InvalidArgument("type mismatch in predicate");
-    double a = stored.index() == 0
-                   ? static_cast<double>(std::get<std::int64_t>(stored))
-                   : std::get<double>(stored);
-    double b = literal.index() == 0
-                   ? static_cast<double>(std::get<std::int64_t>(literal))
-                   : std::get<double>(literal);
-    return a < b ? -1 : (a > b ? 1 : 0);
-  }
-  switch (TypeOf(stored)) {
-    case AttrType::kInt64: {
-      auto a = std::get<std::int64_t>(stored), b = std::get<std::int64_t>(literal);
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case AttrType::kDouble: {
-      auto a = std::get<double>(stored), b = std::get<double>(literal);
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case AttrType::kString: {
-      const auto& a = std::get<std::string>(stored);
-      const auto& b = std::get<std::string>(literal);
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-  }
-  return Status::Internal("bad attr type");
-}
-
 bool ApplyOp(CmpOp op, int cmp) {
   switch (op) {
     case CmpOp::kEq: return cmp == 0;
@@ -136,88 +103,248 @@ double AsDouble(const AttrValue& v) {
   return 0.0;
 }
 
-}  // namespace
+/// A literal converted to its column's comparison domain: an int64
+/// column compares int literals exactly and double literals after
+/// promoting the stored value; a double column promotes int literals.
+struct Literal {
+  bool as_double = false;  ///< int64 column vs double literal
+  std::int64_t i = 0;
+  double d = 0.0;
+  std::string s;
+};
 
-Result<bool> Predicate::MatchesRow(const AttributeStore& attrs,
-                                   VectorId id) const {
-  const Node& n = *node_;
-  switch (n.kind) {
-    case Kind::kTrue:
-      return true;
-    case Kind::kCmp: {
-      VDB_ASSIGN_OR_RETURN(AttrValue stored, attrs.Get(id, n.column));
-      VDB_ASSIGN_OR_RETURN(int cmp, CompareValues(stored, n.values[0]));
-      return ApplyOp(n.op, cmp);
-    }
-    case Kind::kIn: {
-      VDB_ASSIGN_OR_RETURN(AttrValue stored, attrs.Get(id, n.column));
-      for (const auto& v : n.values) {
-        auto cmp = CompareValues(stored, v);
-        if (cmp.ok() && *cmp == 0) return true;
+/// Nullopt when `v` cannot compare with a `column` value (string vs
+/// number).
+std::optional<Literal> ToLiteral(AttrType column, const AttrValue& v) {
+  Literal lit;
+  const auto* i = std::get_if<std::int64_t>(&v);
+  const auto* d = std::get_if<double>(&v);
+  const auto* s = std::get_if<std::string>(&v);
+  switch (column) {
+    case AttrType::kInt64:
+      if (i != nullptr) {
+        lit.i = *i;
+        return lit;
       }
-      return false;
-    }
-    case Kind::kBetween: {
-      VDB_ASSIGN_OR_RETURN(AttrValue stored, attrs.Get(id, n.column));
-      VDB_ASSIGN_OR_RETURN(int lo, CompareValues(stored, n.values[0]));
-      VDB_ASSIGN_OR_RETURN(int hi, CompareValues(stored, n.values[1]));
-      return lo >= 0 && hi <= 0;
-    }
-    case Kind::kAnd: {
-      VDB_ASSIGN_OR_RETURN(bool a, Predicate(n.left).MatchesRow(attrs, id));
-      if (!a) return false;
-      return Predicate(n.right).MatchesRow(attrs, id);
-    }
-    case Kind::kOr: {
-      VDB_ASSIGN_OR_RETURN(bool a, Predicate(n.left).MatchesRow(attrs, id));
-      if (a) return true;
-      return Predicate(n.right).MatchesRow(attrs, id);
-    }
-    case Kind::kNot: {
-      VDB_ASSIGN_OR_RETURN(bool a, Predicate(n.left).MatchesRow(attrs, id));
-      return !a;
-    }
+      if (d == nullptr) return std::nullopt;
+      lit.as_double = true;
+      lit.d = *d;
+      return lit;
+    case AttrType::kDouble:
+      if (s != nullptr) return std::nullopt;
+      lit.d = i != nullptr ? static_cast<double>(*i) : *d;
+      return lit;
+    case AttrType::kString:
+      if (s == nullptr) return std::nullopt;
+      lit.s = *s;
+      return lit;
   }
-  return Status::Internal("bad predicate kind");
+  return std::nullopt;
 }
 
-Result<Bitset> Predicate::Evaluate(const AttributeStore& attrs) const {
-  const std::size_t n = attrs.NumRows();
-  Bitset bits(n);
-  // Leaf predicates evaluate column-at-a-time; boolean nodes combine
-  // bitsets (the standard vectorized filtering pipeline).
-  const Node& node = *node_;
-  switch (node.kind) {
-    case Kind::kTrue: {
-      bits.SetAll();
-      return bits;
+/// Three-way comparison; NaN compares equal to everything.
+template <class T>
+int Sign3(const T& a, const T& b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+int Compare(std::int64_t v, const Literal& lit) {
+  return lit.as_double ? Sign3(static_cast<double>(v), lit.d)
+                       : Sign3(v, lit.i);
+}
+int Compare(double v, const Literal& lit) { return Sign3(v, lit.d); }
+int Compare(const std::string& v, const Literal& lit) {
+  return Sign3(v, lit.s);
+}
+
+}  // namespace
+
+struct BoundPredicate::Node {
+  Predicate::Kind kind = Predicate::Kind::kTrue;
+  // Leaves (kCmp / kIn / kBetween): the column and converted literals.
+  CmpOp op = CmpOp::kEq;
+  AttrType type = AttrType::kInt64;
+  const std::int64_t* i64 = nullptr;
+  const double* f64 = nullptr;
+  const std::string* str = nullptr;
+  std::vector<Literal> literals;
+  Status missing;   ///< NotFound: no such column
+  Status mismatch;  ///< InvalidArgument: a Cmp/Between literal's type
+  // kAnd / kOr / kNot:
+  std::size_t left = 0;
+  std::size_t right = 0;
+
+  template <class T>
+  bool Test(const T& v) const {
+    switch (kind) {
+      case Predicate::Kind::kCmp:
+        return ApplyOp(op, Compare(v, literals[0]));
+      case Predicate::Kind::kIn:
+        for (const Literal& lit : literals) {
+          if (Compare(v, lit) == 0) return true;
+        }
+        return false;
+      case Predicate::Kind::kBetween:
+        return Compare(v, literals[0]) >= 0 && Compare(v, literals[1]) <= 0;
+      default:
+        return false;
     }
-    case Kind::kAnd: {
-      VDB_ASSIGN_OR_RETURN(Bitset a, Predicate(node.left).Evaluate(attrs));
-      VDB_ASSIGN_OR_RETURN(Bitset b, Predicate(node.right).Evaluate(attrs));
+  }
+
+  bool TestRow(std::size_t row) const {
+    switch (type) {
+      case AttrType::kInt64: return Test(i64[row]);
+      case AttrType::kDouble: return Test(f64[row]);
+      case AttrType::kString: return Test(str[row]);
+    }
+    return false;
+  }
+};
+
+BoundPredicate::BoundPredicate(const Predicate& pred,
+                               const AttributeStore& attrs)
+    : num_rows_(attrs.NumRows()) {
+  Bind(*pred.node_, attrs);
+}
+
+BoundPredicate::~BoundPredicate() = default;
+
+std::size_t BoundPredicate::Bind(const Predicate::Node& src,
+                                 const AttributeStore& attrs) {
+  const std::size_t at = nodes_.size();
+  nodes_.emplace_back();
+  Node node;
+  node.kind = src.kind;
+  switch (src.kind) {
+    case Predicate::Kind::kTrue:
+      break;
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr:
+      node.left = Bind(*src.left, attrs);
+      node.right = Bind(*src.right, attrs);
+      break;
+    case Predicate::Kind::kNot:
+      node.left = Bind(*src.left, attrs);
+      break;
+    case Predicate::Kind::kCmp:
+    case Predicate::Kind::kIn:
+    case Predicate::Kind::kBetween: {
+      node.op = src.op;
+      auto type = attrs.ColumnType(src.column);
+      if (!type.ok()) {
+        node.missing = type.status();
+        break;
+      }
+      node.type = *type;
+      switch (node.type) {
+        case AttrType::kInt64:
+          node.i64 = attrs.Int64Column(src.column)->data();
+          break;
+        case AttrType::kDouble:
+          node.f64 = attrs.DoubleColumn(src.column)->data();
+          break;
+        case AttrType::kString:
+          node.str = attrs.StringColumn(src.column)->data();
+          break;
+      }
+      for (const AttrValue& value : src.values) {
+        if (auto lit = ToLiteral(node.type, value)) {
+          node.literals.push_back(std::move(*lit));
+        } else if (src.kind != Predicate::Kind::kIn) {
+          node.mismatch = Status::InvalidArgument("type mismatch in predicate");
+        }
+      }
+      break;
+    }
+  }
+  nodes_[at] = std::move(node);
+  return at;
+}
+
+Result<bool> BoundPredicate::Matches(VectorId id) const {
+  return Matches(0, static_cast<std::size_t>(id));
+}
+
+Result<bool> BoundPredicate::Matches(std::size_t node,
+                                     std::size_t row) const {
+  const Node& n = nodes_[node];
+  switch (n.kind) {
+    case Predicate::Kind::kTrue:
+      return true;
+    case Predicate::Kind::kAnd: {
+      VDB_ASSIGN_OR_RETURN(bool a, Matches(n.left, row));
+      if (!a) return false;
+      return Matches(n.right, row);
+    }
+    case Predicate::Kind::kOr: {
+      VDB_ASSIGN_OR_RETURN(bool a, Matches(n.left, row));
+      if (a) return true;
+      return Matches(n.right, row);
+    }
+    case Predicate::Kind::kNot: {
+      VDB_ASSIGN_OR_RETURN(bool a, Matches(n.left, row));
+      return !a;
+    }
+    default:
+      VDB_RETURN_IF_ERROR(n.missing);
+      if (row >= num_rows_) return Status::OutOfRange("row out of range");
+      VDB_RETURN_IF_ERROR(n.mismatch);
+      return n.TestRow(row);
+  }
+}
+
+Result<Bitset> BoundPredicate::Evaluate() const { return Evaluate(0); }
+
+Result<Bitset> BoundPredicate::Evaluate(std::size_t node) const {
+  const Node& n = nodes_[node];
+  switch (n.kind) {
+    case Predicate::Kind::kTrue:
+      return Bitset(num_rows_, true);
+    case Predicate::Kind::kAnd: {
+      VDB_ASSIGN_OR_RETURN(Bitset a, Evaluate(n.left));
+      VDB_ASSIGN_OR_RETURN(Bitset b, Evaluate(n.right));
       a.And(b);
       return a;
     }
-    case Kind::kOr: {
-      VDB_ASSIGN_OR_RETURN(Bitset a, Predicate(node.left).Evaluate(attrs));
-      VDB_ASSIGN_OR_RETURN(Bitset b, Predicate(node.right).Evaluate(attrs));
+    case Predicate::Kind::kOr: {
+      VDB_ASSIGN_OR_RETURN(Bitset a, Evaluate(n.left));
+      VDB_ASSIGN_OR_RETURN(Bitset b, Evaluate(n.right));
       a.Or(b);
       return a;
     }
-    case Kind::kNot: {
-      VDB_ASSIGN_OR_RETURN(Bitset a, Predicate(node.left).Evaluate(attrs));
+    case Predicate::Kind::kNot: {
+      VDB_ASSIGN_OR_RETURN(Bitset a, Evaluate(n.left));
       a.Not();
       return a;
     }
     default: {
-      for (std::size_t row = 0; row < n; ++row) {
-        VDB_ASSIGN_OR_RETURN(bool match,
-                             MatchesRow(attrs, static_cast<VectorId>(row)));
-        if (match) bits.Set(row);
+      // Column-at-a-time: the type dispatch is hoisted out of the row loop.
+      Bitset bits(num_rows_);
+      if (num_rows_ == 0) return bits;
+      VDB_RETURN_IF_ERROR(n.missing);
+      VDB_RETURN_IF_ERROR(n.mismatch);
+      auto scan = [&](const auto* column) {
+        for (std::size_t row = 0; row < num_rows_; ++row) {
+          if (n.Test(column[row])) bits.Set(row);
+        }
+      };
+      switch (n.type) {
+        case AttrType::kInt64: scan(n.i64); break;
+        case AttrType::kDouble: scan(n.f64); break;
+        case AttrType::kString: scan(n.str); break;
       }
       return bits;
     }
   }
+}
+
+Result<bool> Predicate::MatchesRow(const AttributeStore& attrs,
+                                   VectorId id) const {
+  return BoundPredicate(*this, attrs).Matches(id);
+}
+
+Result<Bitset> Predicate::Evaluate(const AttributeStore& attrs) const {
+  return BoundPredicate(*this, attrs).Evaluate();
 }
 
 Result<double> Predicate::EstimateSelectivity(
@@ -283,9 +410,6 @@ Result<double> Predicate::EstimateSelectivity(
       return std::min(1.0, static_cast<double>(n.values.size()) / ndv);
     }
     case Kind::kBetween: {
-      Predicate range =
-          Predicate::And(Predicate::Cmp(n.column, CmpOp::kGe, n.values[0]),
-                         Predicate::Cmp(n.column, CmpOp::kLe, n.values[1]));
       // Avoid the independence penalty: lo/hi on the same column are
       // perfectly correlated, so estimate as (frac <= hi) - (frac < lo).
       VDB_ASSIGN_OR_RETURN(
@@ -296,7 +420,6 @@ Result<double> Predicate::EstimateSelectivity(
           double below_lo,
           Predicate::Cmp(n.column, CmpOp::kLt, n.values[0])
               .EstimateSelectivity(attrs));
-      (void)range;
       return std::clamp(below_hi - below_lo, 0.0, 1.0);
     }
   }

@@ -35,10 +35,12 @@ class Predicate {
   bool IsTrue() const;
 
   /// Evaluates to a bitmask over rows [0, attrs.NumRows()) — the
-  /// block-first technique of Milvus/AnalyticDB-V.
+  /// block-first technique of Milvus/AnalyticDB-V. Binds once, then scans
+  /// each leaf's column (see BoundPredicate).
   Result<Bitset> Evaluate(const AttributeStore& attrs) const;
 
-  /// Per-row check (single-stage / post-filter path).
+  /// Per-row check. Binds on every call; a caller probing many rows binds
+  /// once instead (BoundPredicate, PredicateIdFilter).
   Result<bool> MatchesRow(const AttributeStore& attrs, VectorId id) const;
 
   /// Estimated fraction of rows matching, from column statistics:
@@ -53,6 +55,8 @@ class Predicate {
   bool AsSingleEquality(std::string* column, AttrValue* value) const;
 
  private:
+  friend class BoundPredicate;
+
   enum class Kind { kTrue, kCmp, kIn, kBetween, kAnd, kOr, kNot };
 
   struct Node;
@@ -62,20 +66,51 @@ class Predicate {
   std::shared_ptr<const Node> node_;
 };
 
+/// A Predicate bound to one AttributeStore: each leaf's column and type
+/// are resolved once, and its literals are converted to the column's
+/// comparison domain, so a row test reads the typed column directly — no
+/// name lookup and no AttrValue per row. The one evaluator behind
+/// `Predicate::Evaluate`, `Predicate::MatchesRow` and `PredicateIdFilter`.
+///
+/// Semantics are the per-row ones: int64/double compare after promotion
+/// to double, the three-way compare treats NaN as equal, IN skips
+/// literals of the wrong type, and errors surface only when a leaf is
+/// evaluated on a row — NotFound for an unknown column, OutOfRange for a
+/// row past the store, InvalidArgument for string against number.
+/// Valid while the store is not mutated.
+class BoundPredicate {
+ public:
+  BoundPredicate(const Predicate& pred, const AttributeStore& attrs);
+  ~BoundPredicate();
+
+  Result<bool> Matches(VectorId id) const;
+  /// Bitmask over rows [0, NumRows()); boolean nodes combine child masks.
+  Result<Bitset> Evaluate() const;
+
+ private:
+  struct Node;
+  std::size_t Bind(const Predicate::Node& node, const AttributeStore& attrs);
+  Result<bool> Matches(std::size_t node, std::size_t row) const;
+  Result<Bitset> Evaluate(std::size_t node) const;
+
+  std::vector<Node> nodes_;  ///< nodes_[0] is the root
+  std::size_t num_rows_;
+};
+
 /// Adapts a Predicate to the index-facing IdFilter interface, evaluating
-/// per row on demand (the visit-first operator's probe).
+/// per row on demand (the visit-first operator's probe). Binds once at
+/// construction; the store must not change while the filter lives.
 class PredicateIdFilter final : public IdFilter {
  public:
   PredicateIdFilter(const Predicate* pred, const AttributeStore* attrs)
-      : pred_(pred), attrs_(attrs) {}
+      : bound_(*pred, *attrs) {}
   bool Matches(VectorId id) const override {
-    auto result = pred_->MatchesRow(*attrs_, id);
+    auto result = bound_.Matches(id);
     return result.ok() && *result;
   }
 
  private:
-  const Predicate* pred_;
-  const AttributeStore* attrs_;
+  BoundPredicate bound_;
 };
 
 }  // namespace vdb

@@ -10,7 +10,7 @@
 namespace vdb {
 
 /// Shared machinery for in-memory indexes: owned copy of the vectors,
-/// external-label mapping, tombstones, and the metric scorer. Indexes copy
+/// external-label mapping, tombstones, and the metric scorer. Indexes own
 /// their data (faiss-style) so they stay decoupled from the storage
 /// manager's lifecycle.
 class DenseIndexBase : public VectorIndex {
@@ -22,23 +22,25 @@ class DenseIndexBase : public VectorIndex {
   const float* vector(std::uint32_t idx) const { return data_.row(idx); }
 
  protected:
-  /// Copies data/ids and creates the scorer. Call first from Build.
-  Status InitBase(const FloatMatrix& data, std::span<const VectorId> ids,
+  /// Takes the rows, copies the ids and creates the scorer. Call first
+  /// from Build.
+  Status InitBase(FloatMatrix data, std::span<const VectorId> ids,
                   const MetricSpec& spec) {
     if (data.empty()) return Status::InvalidArgument("empty build data");
     if (!ids.empty() && ids.size() != data.rows()) {
       return Status::InvalidArgument("ids size must match data rows");
     }
     VDB_ASSIGN_OR_RETURN(scorer_, Scorer::Create(spec, data.cols()));
-    data_ = data;
-    labels_.resize(data.rows());
+    data_ = std::move(data);
+    const std::size_t rows = data_.rows();
+    labels_.resize(rows);
     id_to_idx_.clear();
-    for (std::size_t i = 0; i < data.rows(); ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
       labels_[i] = ids.empty() ? static_cast<VectorId>(i) : ids[i];
       id_to_idx_[labels_[i]] = static_cast<std::uint32_t>(i);
     }
-    deleted_ = Bitset(data.rows());
-    live_count_ = data.rows();
+    deleted_ = Bitset(rows);
+    live_count_ = rows;
     return Status::Ok();
   }
 

@@ -8,7 +8,7 @@
 
 namespace vdb {
 
-Status DiskAnnIndex::Build(const FloatMatrix& data,
+Status DiskAnnIndex::Build(FloatMatrix data,
                            std::span<const VectorId> ids) {
   if (data.empty()) return Status::InvalidArgument("empty build data");
   if (opts_.vamana.metric.metric != Metric::kL2) {

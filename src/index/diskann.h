@@ -34,7 +34,7 @@ class DiskAnnIndex final : public VectorIndex {
       : path_(std::move(path)), opts_(opts) {}
 
   std::string Name() const override { return "diskann"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override;
   bool SupportsRemove() const override { return true; }
   std::size_t Size() const override { return live_count_; }

@@ -31,7 +31,7 @@ class FanngIndex final : public DenseIndexBase {
   explicit FanngIndex(const FanngOptions& opts = {}) : opts_(opts) {}
 
   std::string Name() const override { return "fanng"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;

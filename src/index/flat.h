@@ -18,7 +18,7 @@ class FlatIndex final : public DenseIndexBase {
       : metric_(metric) {}
 
   std::string Name() const override { return "flat"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   Status Remove(VectorId id) override;
   Status RangeSearch(const float* query, float radius,

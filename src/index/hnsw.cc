@@ -37,10 +37,10 @@ auto MakeLayer0Batch(const Scorer& scorer, const float* base, std::size_t dim,
 
 }  // namespace
 
-Status HnswIndex::Build(const FloatMatrix& data,
+Status HnswIndex::Build(FloatMatrix data,
                         std::span<const VectorId> ids) {
   if (opts_.m < 2) return Status::InvalidArgument("hnsw: m must be >= 2");
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   level_mult_ = 1.0 / std::log(static_cast<double>(opts_.m));
   links_.clear();
   links_.reserve(TotalRows());
@@ -404,12 +404,13 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(const std::string& path) {
   if (labels.size() != data.rows()) {
     return Status::Corruption("labels/rows mismatch");
   }
-  VDB_RETURN_IF_ERROR(index->InitBase(data, labels, opts.metric));
+  const std::size_t rows = data.rows();
+  VDB_RETURN_IF_ERROR(index->InitBase(std::move(data), labels, opts.metric));
   index->level_mult_ = 1.0 / std::log(static_cast<double>(opts.m));
 
   VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r.U32Vector());
   for (std::uint32_t idx : deleted) {
-    if (idx >= data.rows()) return Status::Corruption("bad tombstone");
+    if (idx >= rows) return Status::Corruption("bad tombstone");
     VDB_RETURN_IF_ERROR(index->RemoveBase(labels[idx]).status());
   }
 
@@ -417,7 +418,7 @@ Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(const std::string& path) {
   VDB_ASSIGN_OR_RETURN(std::uint32_t biased_level, r.U32());
   index->max_level_ = static_cast<int>(biased_level) - 1;
   VDB_ASSIGN_OR_RETURN(std::uint64_t nodes, r.U64());
-  if (nodes != data.rows()) return Status::Corruption("links/rows mismatch");
+  if (nodes != rows) return Status::Corruption("links/rows mismatch");
   index->links_.resize(nodes);
   for (auto& per_node : index->links_) {
     VDB_ASSIGN_OR_RETURN(std::uint32_t levels, r.U32());

@@ -34,7 +34,7 @@ class HnswIndex final : public DenseIndexBase {
   explicit HnswIndex(const HnswOptions& opts = {}) : opts_(opts) {}
 
   std::string Name() const override { return "hnsw"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   Status Remove(VectorId id) override;
   bool SupportsAdd() const override { return true; }

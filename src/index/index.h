@@ -114,9 +114,10 @@ class VectorIndex {
   virtual std::string Name() const = 0;
 
   /// Builds from scratch. `ids[i]` labels row i of `data`; when `ids` is
-  /// empty, row indices are used as labels.
-  virtual Status Build(const FloatMatrix& data,
-                       std::span<const VectorId> ids) = 0;
+  /// empty, row indices are used as labels. The rows are taken by value:
+  /// a caller done with its matrix moves it in, and an in-memory index
+  /// keeps it as its own copy without copying again.
+  virtual Status Build(FloatMatrix data, std::span<const VectorId> ids) = 0;
 
   /// Incremental insert. Default: unsupported (the paper's "hard to
   /// update" indexes — callers fall back to out-of-place updates).

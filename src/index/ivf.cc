@@ -24,9 +24,9 @@ Status IvfBase::BuildCoarse() {
   return Status::Ok();
 }
 
-Status IvfFlatIndex::Build(const FloatMatrix& data,
+Status IvfFlatIndex::Build(FloatMatrix data,
                            std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   return BuildCoarse();
 }
 
@@ -142,10 +142,11 @@ Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Load(
   if (labels.size() != data.rows()) {
     return Status::Corruption("labels/rows mismatch");
   }
-  VDB_RETURN_IF_ERROR(index->InitBase(data, labels, opts.metric));
+  const std::size_t rows = data.rows();
+  VDB_RETURN_IF_ERROR(index->InitBase(std::move(data), labels, opts.metric));
   VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r.U32Vector());
   for (std::uint32_t idx : deleted) {
-    if (idx >= data.rows()) return Status::Corruption("bad tombstone");
+    if (idx >= rows) return Status::Corruption("bad tombstone");
     VDB_RETURN_IF_ERROR(index->RemoveBase(labels[idx]).status());
   }
   VDB_ASSIGN_OR_RETURN(index->centroids_, r.Matrix());
@@ -154,7 +155,7 @@ Result<std::unique_ptr<IvfFlatIndex>> IvfFlatIndex::Load(
   for (auto& list : index->lists_) {
     VDB_ASSIGN_OR_RETURN(list, r.U32Vector());
     for (std::uint32_t idx : list) {
-      if (idx >= data.rows()) return Status::Corruption("bad list entry");
+      if (idx >= rows) return Status::Corruption("bad list entry");
     }
   }
   return index;

@@ -32,12 +32,12 @@ void IvfPqIndex::EncodeResidual(const float* raw_vec, std::uint32_t list_id,
   pq_.Encode(rotated.data(), code);
 }
 
-Status IvfPqIndex::Build(const FloatMatrix& data,
+Status IvfPqIndex::Build(FloatMatrix data,
                          std::span<const VectorId> ids) {
   if (pq_opts_.ivf.metric.metric != Metric::kL2) {
     return Status::InvalidArgument("ivf-pq supports the L2 metric only");
   }
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, pq_opts_.ivf.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, pq_opts_.ivf.metric));
   VDB_RETURN_IF_ERROR(BuildCoarse());
 
   // Residuals relative to each vector's coarse centroid (IVFADC).
@@ -175,10 +175,11 @@ Result<std::unique_ptr<IvfPqIndex>> IvfPqIndex::Load(
   if (labels.size() != data.rows()) {
     return Status::Corruption("labels/rows mismatch");
   }
-  VDB_RETURN_IF_ERROR(index->InitBase(data, labels, opts.ivf.metric));
+  const std::size_t rows = data.rows();
+  VDB_RETURN_IF_ERROR(index->InitBase(std::move(data), labels, opts.ivf.metric));
   VDB_ASSIGN_OR_RETURN(std::vector<std::uint32_t> deleted, r.U32Vector());
   for (std::uint32_t idx : deleted) {
-    if (idx >= data.rows()) return Status::Corruption("bad tombstone");
+    if (idx >= rows) return Status::Corruption("bad tombstone");
     VDB_RETURN_IF_ERROR(index->RemoveBase(labels[idx]).status());
   }
   VDB_ASSIGN_OR_RETURN(index->centroids_, r.Matrix());
@@ -187,14 +188,14 @@ Result<std::unique_ptr<IvfPqIndex>> IvfPqIndex::Load(
   for (auto& list : index->lists_) {
     VDB_ASSIGN_OR_RETURN(list, r.U32Vector());
     for (std::uint32_t idx : list) {
-      if (idx >= data.rows()) return Status::Corruption("bad list entry");
+      if (idx >= rows) return Status::Corruption("bad list entry");
     }
   }
   VDB_RETURN_IF_ERROR(index->pq_.LoadFrom(&r));
   // Re-sync the copied PqOptions so Name()/code sizes stay coherent.
   index->pq_opts_.pq.m = index->pq_.m();
   VDB_ASSIGN_OR_RETURN(std::uint64_t ncodes, r.U64());
-  if (ncodes != data.rows() * index->pq_.code_size()) {
+  if (ncodes != rows * index->pq_.code_size()) {
     return Status::Corruption("bad code payload size");
   }
   index->codes_.resize(ncodes);

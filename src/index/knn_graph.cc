@@ -10,9 +10,9 @@
 
 namespace vdb {
 
-Status KnnGraphIndex::Build(const FloatMatrix& data,
+Status KnnGraphIndex::Build(FloatMatrix data,
                             std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   if (opts_.graph_degree == 0) {
     return Status::InvalidArgument("graph_degree must be > 0");
   }

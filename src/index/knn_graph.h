@@ -42,7 +42,7 @@ class KnnGraphIndex final : public DenseIndexBase {
   std::string Name() const override {
     return opts_.init == KnnGraphInit::kKdForest ? "efanna" : "kgraph";
   }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;

@@ -6,9 +6,9 @@
 
 namespace vdb {
 
-Status NswIndex::Build(const FloatMatrix& data,
+Status NswIndex::Build(FloatMatrix data,
                        std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   adjacency_.assign(TotalRows(), {});
   inserted_ = 0;
   for (std::uint32_t i = 0; i < TotalRows(); ++i) Insert(i);

@@ -28,7 +28,7 @@ class NswIndex final : public DenseIndexBase {
   explicit NswIndex(const NswOptions& opts = {}) : opts_(opts) {}
 
   std::string Name() const override { return "nsw"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Add(const float* vec, VectorId id) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   bool SupportsAdd() const override { return true; }

@@ -16,7 +16,7 @@ std::size_t SpannIndex::EntriesPerPage() const {
   return opts_.file.page_size / entry;
 }
 
-Status SpannIndex::Build(const FloatMatrix& data,
+Status SpannIndex::Build(FloatMatrix data,
                          std::span<const VectorId> ids) {
   if (data.empty()) return Status::InvalidArgument("empty build data");
   if (opts_.metric.metric != Metric::kL2) {

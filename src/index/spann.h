@@ -39,7 +39,7 @@ class SpannIndex final : public VectorIndex {
       : path_(std::move(path)), opts_(opts) {}
 
   std::string Name() const override { return "spann"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override;
   bool SupportsRemove() const override { return true; }
   std::size_t Size() const override { return live_count_; }

@@ -9,9 +9,9 @@
 
 namespace vdb {
 
-Status VamanaIndex::Build(const FloatMatrix& data,
+Status VamanaIndex::Build(FloatMatrix data,
                           std::span<const VectorId> ids) {
-  VDB_RETURN_IF_ERROR(InitBase(data, ids, opts_.metric));
+  VDB_RETURN_IF_ERROR(InitBase(std::move(data), ids, opts_.metric));
   if (opts_.r == 0 || opts_.l == 0) {
     return Status::InvalidArgument("vamana: r and l must be positive");
   }

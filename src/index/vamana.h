@@ -28,7 +28,7 @@ class VamanaIndex final : public DenseIndexBase {
   explicit VamanaIndex(const VamanaOptions& opts = {}) : opts_(opts) {}
 
   std::string Name() const override { return "vamana"; }
-  Status Build(const FloatMatrix& data, std::span<const VectorId> ids) override;
+  Status Build(FloatMatrix data, std::span<const VectorId> ids) override;
   Status Remove(VectorId id) override { return RemoveBase(id).status(); }
   bool SupportsRemove() const override { return true; }
   std::size_t MemoryBytes() const override;

@@ -7,11 +7,30 @@
 #include <unordered_set>
 
 #include "core/failpoint.h"
+#include "core/telemetry.h"
 #include "storage/serializer.h"
 
 namespace vdb {
 
+AttributeStore::AttributeStore(AttributeStore&& other) noexcept
+    : columns_(std::move(other.columns_)), num_rows_(other.num_rows_) {
+  other.columns_.clear();
+  other.num_rows_ = 0;
+  ++other.generation_;
+}
+
+AttributeStore& AttributeStore::operator=(AttributeStore&& other) noexcept {
+  columns_ = std::move(other.columns_);
+  num_rows_ = other.num_rows_;
+  ++generation_;
+  other.columns_.clear();
+  other.num_rows_ = 0;
+  ++other.generation_;
+  return *this;
+}
+
 Status AttributeStore::AddColumn(const std::string& name, AttrType type) {
+  ++generation_;
   if (columns_.contains(name)) {
     return Status::AlreadyExists("column exists: " + name);
   }
@@ -30,6 +49,7 @@ Result<AttrType> AttributeStore::ColumnType(const std::string& name) const {
 
 Status AttributeStore::PutRow(VectorId id,
                               const std::vector<AttrBinding>& attrs) {
+  ++generation_;
   std::size_t row = static_cast<std::size_t>(id);
   if (row >= num_rows_) {
     num_rows_ = row + 1;
@@ -76,26 +96,41 @@ Result<AttrValue> AttributeStore::Get(VectorId id,
 
 Result<ColumnStats> AttributeStore::ComputeStats(
     const std::string& column) const {
+  // Registered before the cache lock is taken: stats_mu_ stays a leaf.
+  static Counter& computed =
+      Registry::Global().GetCounter("vdb_attr_stats_computed_total");
   auto it = columns_.find(column);
   if (it == columns_.end()) return Status::NotFound("no column: " + column);
-  const Column& col = it->second;
+  // The scan runs under the lock, so readers racing on a cold cache scan
+  // the column once between them.
+  MutexLock lock(stats_mu_);
+  auto [slot, inserted] = stats_cache_.try_emplace(column);
+  if (inserted || slot->second.generation != generation_) {
+    slot->second = {generation_, ScanStats(it->second, num_rows_)};
+    computed.Inc();
+  }
+  return slot->second.stats;
+}
+
+ColumnStats AttributeStore::ScanStats(const Column& col,
+                                      std::size_t num_rows) {
   ColumnStats stats;
 
   auto numeric = [&](auto getter) {
     stats.min = std::numeric_limits<double>::max();
     stats.max = std::numeric_limits<double>::lowest();
-    for (std::size_t r = 0; r < num_rows_; ++r) {
+    for (std::size_t r = 0; r < num_rows; ++r) {
       double v = getter(r);
       stats.min = std::min(stats.min, v);
       stats.max = std::max(stats.max, v);
     }
-    if (num_rows_ == 0) {
+    if (num_rows == 0) {
       stats.min = stats.max = 0.0;
     }
     stats.histogram.assign(16, 0);
     double width = (stats.max - stats.min) / 16.0;
     std::unordered_set<double> distinct;
-    for (std::size_t r = 0; r < num_rows_; ++r) {
+    for (std::size_t r = 0; r < num_rows; ++r) {
       double v = getter(r);
       std::size_t bucket =
           width > 0.0
@@ -117,7 +152,7 @@ Result<ColumnStats> AttributeStore::ComputeStats(
       break;
     case AttrType::kString: {
       std::unordered_set<std::string> distinct;
-      for (std::size_t r = 0; r < num_rows_; ++r) {
+      for (std::size_t r = 0; r < num_rows; ++r) {
         if (!col.str[r].empty()) ++stats.non_default_rows;
         if (distinct.size() < 10000) distinct.insert(col.str[r]);
       }
@@ -180,6 +215,7 @@ Status AttributeStore::Load(BinaryReader* reader) {
   if (FailpointFires("attribute_store.load.corrupt")) {
     return Status::Corruption("injected failure: attribute_store.load.corrupt");
   }
+  ++generation_;
   columns_.clear();
   VDB_ASSIGN_OR_RETURN(num_rows_, reader->U64());
   VDB_ASSIGN_OR_RETURN(std::uint64_t ncols, reader->U64());

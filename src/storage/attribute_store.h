@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "core/sync.h"
 #include "core/types.h"
 
 namespace vdb {
@@ -41,8 +42,17 @@ struct ColumnStats {
 /// Typed attribute columns aligned with a vector collection's rows. Rows
 /// are addressed by external VectorId (dense ids recommended). Supports
 /// bitmask construction for block-first filtering.
+///
+/// Threading: mutations need exclusive access (the caller's lock), while
+/// const calls may run concurrently — `ComputeStats` fills its per-column
+/// cache under its own leaf mutex.
 class AttributeStore {
  public:
+  AttributeStore() = default;
+  /// Moves the columns; the statistics cache starts empty on both sides.
+  AttributeStore(AttributeStore&& other) noexcept;
+  AttributeStore& operator=(AttributeStore&& other) noexcept;
+
   Status AddColumn(const std::string& name, AttrType type);
   bool HasColumn(const std::string& name) const {
     return columns_.contains(name);
@@ -58,7 +68,9 @@ class AttributeStore {
   /// Number of rows (max id set + 1).
   std::size_t NumRows() const { return num_rows_; }
 
-  /// Recomputes statistics for `column` (histograms, distincts).
+  /// Statistics for `column` (histograms, distincts). Scans the column
+  /// once per write epoch: the result is cached until the next mutation
+  /// (`AddColumn`, `PutRow`, `Load`) and equals a fresh scan.
   Result<ColumnStats> ComputeStats(const std::string& column) const;
 
   /// Raw column access for predicate evaluation.
@@ -85,8 +97,22 @@ class AttributeStore {
     }
   };
 
+  struct CachedStats {
+    std::uint64_t generation = 0;
+    ColumnStats stats;
+  };
+
+  static ColumnStats ScanStats(const Column& col, std::size_t num_rows);
+
   std::unordered_map<std::string, Column> columns_;
   std::size_t num_rows_ = 0;
+  /// Write epoch: every mutation bumps it, which invalidates every cached
+  /// ColumnStats at the cost of one increment. Mutations are exclusive
+  /// with readers, so it needs no lock of its own.
+  std::uint64_t generation_ = 0;
+  mutable Mutex stats_mu_;
+  mutable std::unordered_map<std::string, CachedStats> stats_cache_
+      VDB_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace vdb

@@ -66,7 +66,11 @@ class BinaryWriter {
   Status WriteTo(const std::string& path) const {
     // Payload CRC excludes the magic prefix (first 4 bytes).
     std::uint32_t crc = Wal::Crc32(bytes_.data() + 4, bytes_.size() - 4);
-    std::vector<std::uint8_t> full = bytes_;
+    // Sized once: a plain copy has no room for the CRC, and growing it
+    // would hold a third full-size buffer at the peak.
+    std::vector<std::uint8_t> full;
+    full.reserve(bytes_.size() + 4);
+    full.assign(bytes_.begin(), bytes_.end());
     for (int i = 0; i < 4; ++i) full.push_back((crc >> (8 * i)) & 0xff);
 
     const std::string tmp = path + ".tmp";

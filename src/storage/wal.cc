@@ -100,20 +100,41 @@ Status Wal::SyncDirOf(const std::string& path) {
 }
 
 std::uint32_t Wal::Crc32(const std::uint8_t* data, std::size_t len) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: eight bytes per step through eight derived tables, the
+  // same CRC as the bytewise loop at several times its speed. Snapshot
+  // and checkpoint loads checksum whole files, so this is most of their
+  // CPU time.
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tables{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (int s = 1; s < 8; ++s) {
+        const std::uint32_t prev = tables[s - 1][i];
+        tables[s][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+      }
+    }
+    return tables;
   }();
+  auto word = [](const std::uint8_t* p) {
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+  };
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    const std::uint32_t lo = word(data) ^ crc;
+    const std::uint32_t hi = word(data + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = t[0][(crc ^ *data) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

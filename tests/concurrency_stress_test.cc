@@ -154,6 +154,63 @@ TEST(ConcurrencyStressTest, CollectionInsertSearchChurn) {
   EXPECT_GT(coll->Size(), 64u);
 }
 
+// Hybrid readers race to fill a cold column-stats cache while a writer's
+// inserts keep invalidating it: the cache's own mutex must order the fill
+// against concurrent readers, and the writer's epoch bump rides the
+// collection's exclusive lock.
+TEST(ConcurrencyStressTest, HybridStatsCacheVsInserts) {
+  const std::size_t kDim = 8;
+  const std::size_t kReaders = 6;
+  const std::size_t kOps = 100 * StressScale();
+
+  CollectionOptions opts;
+  opts.dim = kDim;
+  opts.attributes = {{"u", AttrType::kDouble}, {"band", AttrType::kInt64}};
+  opts.index_factory = HnswFactory();
+  auto created = ConcurrentCollection::Create(opts);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<ConcurrentCollection> coll = std::move(created).value();
+  FloatMatrix rows = TestData(512, kDim);
+  for (std::size_t i = 0; i < 256; ++i) {
+    ASSERT_TRUE(coll->Insert(static_cast<VectorId>(i), {rows.row(i), kDim},
+                             {{"u", static_cast<double>(i % 100) / 100.0},
+                              {"band", std::int64_t(i % 8)}})
+                    .ok());
+  }
+  ASSERT_TRUE(coll->BuildIndex().ok());
+
+  std::atomic<std::size_t> failures{0};
+  RunThreads(kReaders + 1, [&](std::size_t t) {
+    if (t == kReaders) {  // writer: every insert opens a new stats epoch
+      for (std::size_t i = 256; i < rows.rows(); ++i) {
+        if (!coll->Insert(static_cast<VectorId>(i), {rows.row(i), kDim},
+                          {{"u", static_cast<double>(i % 100) / 100.0},
+                           {"band", std::int64_t(i % 8)}})
+                 .ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::this_thread::yield();
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < kOps; ++i) {
+      Predicate pred = Predicate::And(
+          Predicate::Cmp("u", CmpOp::kLt, 0.1 + 0.1 * static_cast<double>(t)),
+          Predicate::Cmp("band", CmpOp::kNe, std::int64_t(i % 8)));
+      std::vector<Neighbor> out;
+      ExecStats stats;
+      if (!coll->Hybrid({rows.row((t * kOps + i) % rows.rows()), kDim}, pred,
+                        5, &out, &stats)
+               .ok() ||
+          stats.est_selectivity < 0.0 || stats.est_selectivity > 1.0) {
+        failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(coll->Size(), rows.rows());
+}
+
 // Checkpoint (shared lock, consistent read) racing writers and readers:
 // the snapshot path walks every store while mutation is in flight.
 TEST(ConcurrencyStressTest, CheckpointVsWriters) {

@@ -3,7 +3,10 @@
 // deficit), plan enumeration, rule- and cost-based optimizers, offline
 // partitioning, batched execution, and multi-vector aggregate search.
 
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -209,6 +212,299 @@ TEST(PredicateTest, ToStringRoundTripsShape) {
       Predicate::Cmp("a", CmpOp::kGe, I(3)),
       Predicate::Not(Predicate::In("b", {AttrValue(std::string("x"))})));
   EXPECT_EQ(pred.ToString(), "(a >= 3 AND NOT (b IN ('x')))");
+}
+
+// ------------------------------- Column-bound evaluation vs per-row reference
+
+// The per-row semantics predicates had before column binding, kept here as
+// the oracle: every leaf fetches an AttrValue through AttributeStore::Get
+// and compares variants.
+struct RefNode {
+  enum Kind { kTrue, kCmp, kIn, kBetween, kAnd, kOr, kNot } kind = kTrue;
+  std::string column;
+  CmpOp op = CmpOp::kEq;
+  std::vector<AttrValue> values;
+  std::shared_ptr<RefNode> left, right;
+};
+
+Result<int> RefCompare(const AttrValue& stored, const AttrValue& literal) {
+  if (stored.index() != literal.index()) {
+    if (stored.index() == 2 || literal.index() == 2) {
+      return Status::InvalidArgument("type mismatch in predicate");
+    }
+    double a = stored.index() == 0
+                   ? static_cast<double>(std::get<std::int64_t>(stored))
+                   : std::get<double>(stored);
+    double b = literal.index() == 0
+                   ? static_cast<double>(std::get<std::int64_t>(literal))
+                   : std::get<double>(literal);
+    return a < b ? -1 : (a > b ? 1 : 0);
+  }
+  return stored < literal ? -1 : (literal < stored ? 1 : 0);
+}
+
+bool RefApply(CmpOp op, int cmp) {
+  switch (op) {
+    case CmpOp::kEq: return cmp == 0;
+    case CmpOp::kNe: return cmp != 0;
+    case CmpOp::kLt: return cmp < 0;
+    case CmpOp::kLe: return cmp <= 0;
+    case CmpOp::kGt: return cmp > 0;
+    case CmpOp::kGe: return cmp >= 0;
+  }
+  return false;
+}
+
+Result<bool> RefMatches(const RefNode& n, const AttributeStore& attrs,
+                        VectorId id) {
+  switch (n.kind) {
+    case RefNode::kTrue:
+      return true;
+    case RefNode::kCmp: {
+      VDB_ASSIGN_OR_RETURN(AttrValue stored, attrs.Get(id, n.column));
+      VDB_ASSIGN_OR_RETURN(int cmp, RefCompare(stored, n.values[0]));
+      return RefApply(n.op, cmp);
+    }
+    case RefNode::kIn: {
+      VDB_ASSIGN_OR_RETURN(AttrValue stored, attrs.Get(id, n.column));
+      for (const auto& v : n.values) {
+        auto cmp = RefCompare(stored, v);
+        if (cmp.ok() && *cmp == 0) return true;
+      }
+      return false;
+    }
+    case RefNode::kBetween: {
+      VDB_ASSIGN_OR_RETURN(AttrValue stored, attrs.Get(id, n.column));
+      VDB_ASSIGN_OR_RETURN(int lo, RefCompare(stored, n.values[0]));
+      VDB_ASSIGN_OR_RETURN(int hi, RefCompare(stored, n.values[1]));
+      return lo >= 0 && hi <= 0;
+    }
+    case RefNode::kAnd: {
+      VDB_ASSIGN_OR_RETURN(bool a, RefMatches(*n.left, attrs, id));
+      if (!a) return false;
+      return RefMatches(*n.right, attrs, id);
+    }
+    case RefNode::kOr: {
+      VDB_ASSIGN_OR_RETURN(bool a, RefMatches(*n.left, attrs, id));
+      if (a) return true;
+      return RefMatches(*n.right, attrs, id);
+    }
+    case RefNode::kNot: {
+      VDB_ASSIGN_OR_RETURN(bool a, RefMatches(*n.left, attrs, id));
+      return !a;
+    }
+  }
+  return Status::Internal("bad kind");
+}
+
+Result<Bitset> RefEvaluate(const RefNode& n, const AttributeStore& attrs) {
+  Bitset bits(attrs.NumRows());
+  switch (n.kind) {
+    case RefNode::kTrue:
+      bits.SetAll();
+      return bits;
+    case RefNode::kAnd:
+    case RefNode::kOr: {
+      VDB_ASSIGN_OR_RETURN(Bitset a, RefEvaluate(*n.left, attrs));
+      VDB_ASSIGN_OR_RETURN(Bitset b, RefEvaluate(*n.right, attrs));
+      return n.kind == RefNode::kAnd ? a.And(b) : a.Or(b);
+    }
+    case RefNode::kNot: {
+      VDB_ASSIGN_OR_RETURN(Bitset a, RefEvaluate(*n.left, attrs));
+      return a.Not();
+    }
+    default:
+      for (std::size_t row = 0; row < attrs.NumRows(); ++row) {
+        VDB_ASSIGN_OR_RETURN(bool m, RefMatches(n, attrs, row));
+        if (m) bits.Set(row);
+      }
+      return bits;
+  }
+}
+
+Predicate ToPredicate(const RefNode& n) {
+  switch (n.kind) {
+    case RefNode::kTrue: return Predicate::True();
+    case RefNode::kCmp: return Predicate::Cmp(n.column, n.op, n.values[0]);
+    case RefNode::kIn: return Predicate::In(n.column, n.values);
+    case RefNode::kBetween:
+      return Predicate::Between(n.column, n.values[0], n.values[1]);
+    case RefNode::kAnd:
+      return Predicate::And(ToPredicate(*n.left), ToPredicate(*n.right));
+    case RefNode::kOr:
+      return Predicate::Or(ToPredicate(*n.left), ToPredicate(*n.right));
+    case RefNode::kNot: return Predicate::Not(ToPredicate(*n.left));
+  }
+  return Predicate::True();
+}
+
+// Values chosen to hit the edges of promotion and three-way comparison:
+// NaN, signed zeros, infinities, and int64s that do not round-trip
+// through double.
+const double kNan = std::numeric_limits<double>::quiet_NaN();
+const double kInf = std::numeric_limits<double>::infinity();
+const std::int64_t kBig = (std::int64_t{1} << 53) + 1;
+
+AttrValue RandomValue(Rng& rng, AttrType type) {
+  static const std::int64_t ints[] = {-3, -1, 0, 1, 2, 3, kBig, kBig - 1,
+                                      std::numeric_limits<std::int64_t>::max(),
+                                      std::numeric_limits<std::int64_t>::min()};
+  static const double doubles[] = {-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0,
+                                   kNan, kInf, -kInf, 9007199254740992.0};
+  static const char* strings[] = {"", "a", "ab", "b", "zz"};
+  switch (type) {
+    case AttrType::kInt64: return ints[rng.Next(std::size(ints))];
+    case AttrType::kDouble: return doubles[rng.Next(std::size(doubles))];
+    case AttrType::kString:
+      return std::string(strings[rng.Next(std::size(strings))]);
+  }
+  return std::int64_t{0};
+}
+
+std::shared_ptr<RefNode> RandomPredicate(Rng& rng, int depth) {
+  auto node = std::make_shared<RefNode>();
+  const std::uint64_t pick = rng.Next(depth > 0 ? 10 : 6);
+  if (pick >= 7) {
+    node->kind = pick == 7 ? RefNode::kAnd : (pick == 8 ? RefNode::kOr
+                                                        : RefNode::kNot);
+    node->left = RandomPredicate(rng, depth - 1);
+    if (node->kind != RefNode::kNot) {
+      node->right = RandomPredicate(rng, depth - 1);
+    }
+    return node;
+  }
+  if (pick == 6) {
+    node->kind = RefNode::kTrue;
+    return node;
+  }
+  // Mostly literals of the column's own type, sometimes any type — the
+  // wrong-type cases exercise promotion, IN skipping and errors.
+  static const char* columns[] = {"i", "d", "s", "missing"};
+  static const AttrType types[] = {AttrType::kInt64, AttrType::kDouble,
+                                   AttrType::kString, AttrType::kInt64};
+  const std::size_t c = rng.Next(20) == 0 ? 3 : rng.Next(3);
+  node->column = columns[c];
+  auto literal = [&] {
+    AttrType t = rng.Next(3) == 0 ? static_cast<AttrType>(rng.Next(3))
+                                  : types[c];
+    return RandomValue(rng, t);
+  };
+  if (pick <= 2) {
+    node->kind = RefNode::kCmp;
+    node->op = static_cast<CmpOp>(rng.Next(6));
+    node->values = {literal()};
+  } else if (pick <= 4) {
+    node->kind = RefNode::kIn;
+    for (std::uint64_t v = rng.Next(4); v > 0; --v) {
+      node->values.push_back(literal());
+    }
+  } else {
+    node->kind = RefNode::kBetween;
+    node->values = {literal(), literal()};
+  }
+  return node;
+}
+
+AttributeStore RandomStore(Rng& rng, std::size_t rows) {
+  AttributeStore attrs;
+  EXPECT_TRUE(attrs.AddColumn("i", AttrType::kInt64).ok());
+  EXPECT_TRUE(attrs.AddColumn("d", AttrType::kDouble).ok());
+  EXPECT_TRUE(attrs.AddColumn("s", AttrType::kString).ok());
+  for (std::size_t r = 0; r < rows; ++r) {
+    EXPECT_TRUE(attrs
+                    .PutRow(r, {{"i", RandomValue(rng, AttrType::kInt64)},
+                                {"d", RandomValue(rng, AttrType::kDouble)},
+                                {"s", RandomValue(rng, AttrType::kString)}})
+                    .ok());
+  }
+  return attrs;
+}
+
+void ExpectSameStatus(const Status& bound, const Status& ref,
+                      const std::string& where) {
+  EXPECT_EQ(bound.code(), ref.code()) << where;
+  EXPECT_EQ(bound.message(), ref.message()) << where;
+}
+
+TEST(BoundPredicateTest, MatchesPerRowReferenceOnRandomPredicates) {
+  Rng rng(2024);
+  for (std::size_t rows : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
+    AttributeStore attrs = RandomStore(rng, rows);
+    for (int trial = 0; trial < 600; ++trial) {
+      auto ref = RandomPredicate(rng, 3);
+      Predicate pred = ToPredicate(*ref);
+      const std::string where = pred.ToString() + " rows=" +
+                                std::to_string(rows);
+
+      auto want_bits = RefEvaluate(*ref, attrs);
+      auto got_bits = pred.Evaluate(attrs);
+      ExpectSameStatus(got_bits.status(), want_bits.status(), where);
+      if (want_bits.ok() && got_bits.ok()) {
+        ASSERT_EQ(got_bits->size(), want_bits->size()) << where;
+        for (std::size_t r = 0; r < rows; ++r) {
+          ASSERT_EQ(got_bits->Test(r), want_bits->Test(r)) << where << " @" << r;
+        }
+      }
+
+      // Per-row paths, past the last row too (OutOfRange).
+      BoundPredicate bound(pred, attrs);
+      PredicateIdFilter filter(&pred, &attrs);
+      for (VectorId id = 0; id < rows + 2; ++id) {
+        auto want = RefMatches(*ref, attrs, id);
+        auto got = bound.Matches(id);
+        auto via_pred = pred.MatchesRow(attrs, id);
+        ExpectSameStatus(got.status(), want.status(), where);
+        ExpectSameStatus(via_pred.status(), want.status(), where);
+        if (want.ok() && got.ok() && via_pred.ok()) {
+          ASSERT_EQ(*got, *want) << where << " @" << id;
+          ASSERT_EQ(*via_pred, *want) << where << " @" << id;
+        }
+        ASSERT_EQ(filter.Matches(id), want.ok() && *want) << where << " @" << id;
+      }
+    }
+  }
+}
+
+TEST(BoundPredicateTest, EdgeLiteralsKeepTodaysSemantics) {
+  AttributeStore attrs;
+  ASSERT_TRUE(attrs.AddColumn("d", AttrType::kDouble).ok());
+  ASSERT_TRUE(attrs.AddColumn("i", AttrType::kInt64).ok());
+  ASSERT_TRUE(attrs.AddColumn("s", AttrType::kString).ok());
+  ASSERT_TRUE(attrs.PutRow(0, {{"d", -0.0}, {"i", kBig}}).ok());
+  ASSERT_TRUE(attrs.PutRow(1, {{"d", kNan}, {"i", I(3)}}).ok());
+  auto row_matches = [&](const Predicate& p, VectorId id) {
+    auto m = p.MatchesRow(attrs, id);
+    EXPECT_TRUE(m.ok()) << p.ToString();
+    return m.ok() && *m;
+  };
+  // -0.0 == +0.0; NaN compares "equal" to anything in both directions.
+  EXPECT_TRUE(row_matches(Predicate::Cmp("d", CmpOp::kEq, 0.0), 0));
+  EXPECT_TRUE(row_matches(Predicate::Cmp("d", CmpOp::kEq, 5.0), 1));
+  EXPECT_FALSE(row_matches(Predicate::Cmp("d", CmpOp::kLt, kNan), 0));
+  EXPECT_TRUE(row_matches(Predicate::Cmp("d", CmpOp::kGe, kNan), 0));
+  // int64 vs double compares after promotion (2^53+1 rounds to 2^53).
+  EXPECT_TRUE(row_matches(Predicate::Cmp("i", CmpOp::kEq, 9007199254740992.0), 0));
+  EXPECT_FALSE(row_matches(Predicate::Cmp("i", CmpOp::kEq, kBig - 1), 0));
+  EXPECT_TRUE(row_matches(Predicate::Cmp("d", CmpOp::kEq, I(0)), 0));
+  // IN skips literals of the wrong type; Cmp and BETWEEN reject them.
+  EXPECT_TRUE(row_matches(
+      Predicate::In("i", {AttrValue(std::string("x")), AttrValue(3.0)}), 1));
+  EXPECT_EQ(Predicate::Cmp("s", CmpOp::kEq, I(1)).MatchesRow(attrs, 0)
+                .status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Predicate::Between("i", I(0), std::string("z"))
+                .Evaluate(attrs).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Predicate::Cmp("nope", CmpOp::kEq, I(1)).Evaluate(attrs)
+                .status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(Predicate::Cmp("i", CmpOp::kEq, I(1)).MatchesRow(attrs, 2)
+                .status().code(),
+            StatusCode::kOutOfRange);
+  // Errors surface only where a leaf is evaluated: AND short-circuits.
+  auto guarded = Predicate::And(Predicate::Cmp("i", CmpOp::kEq, I(7)),
+                                Predicate::Cmp("nope", CmpOp::kEq, I(1)));
+  EXPECT_FALSE(row_matches(guarded, 1));
 }
 
 // ------------------------------------------------------- Hybrid executor

@@ -9,6 +9,7 @@
 #include "core/eval.h"
 #include "core/rng.h"
 #include "core/synthetic.h"
+#include "core/telemetry.h"
 #include "db/database.h"
 #include "db/query_language.h"
 #include "db/secure.h"
@@ -164,6 +165,45 @@ TEST(QueryExecuteTest, HybridHonorsWhereClause) {
     EXPECT_LT(nb.id, 400u);
   }
   EXPECT_GE(stats.est_selectivity, 0.0);  // optimizer consulted
+}
+
+// One plan per query: the served path consults the optimizer once (each
+// consultation opens one `plan` span), reports the plan Hybrid ran, and
+// over an unchanged collection scans each predicate column for statistics
+// once, not once per query.
+TEST(QueryExecuteTest, ServedHybridPlansOnceOnCachedStats) {
+  QlFixture fx;
+  Counter& computed =
+      Registry::Global().GetCounter("vdb_attr_stats_computed_total");
+  auto sql = [&](std::size_t row) {
+    return "SELECT knn(5) FROM items WHERE category = 2 AND price < " +
+           std::to_string(100 + row) + ".0 ORDER BY distance(" +
+           fx.VectorLiteral(row) + ")";
+  };
+  QueryOptions traced;
+  traced.trace = true;
+  const std::uint64_t before = computed.Value();
+  for (std::size_t q = 0; q < 100; ++q) {
+    auto result = ExecuteQueryTraced(&fx.db, sql(q), traced);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->plan, result->stats.plan.ToString());
+    EXPECT_GE(result->stats.est_selectivity, 0.0);
+    const std::string& tree = result->explain;
+    const std::size_t span = tree.find("\n  plan ");
+    ASSERT_NE(span, std::string::npos) << tree;
+    EXPECT_EQ(tree.find("\n  plan ", span + 1), std::string::npos) << tree;
+    EXPECT_NE(tree.find("chosen=" + result->plan), std::string::npos) << tree;
+  }
+  EXPECT_EQ(computed.Value() - before, 2u);  // category, price
+
+  // A write opens a new epoch: the next query rescans both columns.
+  auto* c = fx.db.GetCollection("items").value();
+  ASSERT_TRUE(c->Insert(10000, fx.data.row_view(0),
+                        {{"category", std::int64_t{2}}, {"price", 1.0}})
+                  .ok());
+  ASSERT_TRUE(ExecuteQueryTraced(&fx.db, sql(0)).ok());
+  ASSERT_TRUE(ExecuteQueryTraced(&fx.db, sql(1)).ok());
+  EXPECT_EQ(computed.Value() - before, 4u);
 }
 
 TEST(QueryExecuteTest, ExplainAnalyzeRendersSpanTree) {

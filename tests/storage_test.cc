@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,10 +16,12 @@
 #include "core/eval.h"
 #include "core/rng.h"
 #include "core/synthetic.h"
+#include "core/telemetry.h"
 #include "index/hnsw.h"
 #include "index/flat.h"
 #include "storage/attribute_store.h"
 #include "storage/lsm_store.h"
+#include "storage/serializer.h"
 #include "storage/vector_store.h"
 #include "storage/wal.h"
 
@@ -108,6 +111,113 @@ TEST(AttributeStoreTest, StatsHistogramAndDistinct) {
   for (std::size_t b = 0; b < 16; ++b) EXPECT_EQ(stats->histogram[b], 10u);
 }
 
+// Stats are cached per column and invalidated by every mutation: after
+// each kind of write, the cached answer must equal a freshly built store's.
+void ExpectSameStats(const AttributeStore& live, const AttributeStore& fresh,
+                     const std::string& column, const std::string& step) {
+  auto a = live.ComputeStats(column);
+  auto b = fresh.ComputeStats(column);
+  ASSERT_EQ(a.ok(), b.ok()) << step << " " << column;
+  if (!a.ok()) return;
+  EXPECT_EQ(a->non_default_rows, b->non_default_rows) << step << " " << column;
+  EXPECT_EQ(a->min, b->min) << step << " " << column;
+  EXPECT_EQ(a->max, b->max) << step << " " << column;
+  EXPECT_EQ(a->approx_distinct, b->approx_distinct) << step << " " << column;
+  EXPECT_EQ(a->histogram, b->histogram) << step << " " << column;
+}
+
+TEST(AttributeStoreTest, CachedStatsFollowEveryMutation) {
+  using Op = std::function<void(AttributeStore*)>;
+  std::vector<std::pair<std::string, Op>> ops = {
+      {"add v", [](AttributeStore* s) {
+         (void)s->AddColumn("v", AttrType::kInt64);
+       }},
+      {"add tag", [](AttributeStore* s) {
+         (void)s->AddColumn("tag", AttrType::kString);
+       }},
+      {"extend", [](AttributeStore* s) {
+         for (int i = 0; i < 40; ++i) {
+           (void)s->PutRow(i, {{"v", std::int64_t{i % 7}},
+                               {"tag", std::string(i % 2 ? "x" : "")}});
+         }
+       }},
+      {"overwrite", [](AttributeStore* s) {
+         (void)s->PutRow(3, {{"v", std::int64_t{1000}}});
+       }},
+      {"add w after rows", [](AttributeStore* s) {
+         (void)s->AddColumn("w", AttrType::kDouble);
+       }},
+      {"grow with gap", [](AttributeStore* s) {
+         (void)s->PutRow(90, {{"w", -2.5}});
+       }},
+      {"failed put writes a prefix", [](AttributeStore* s) {
+         // "v" lands before the type mismatch on "tag" fails the call.
+         EXPECT_FALSE(
+             s->PutRow(5, {{"v", std::int64_t{-9}}, {"tag", 1.0}}).ok());
+       }},
+  };
+  const std::vector<std::string> columns = {"v", "tag", "w", "missing"};
+  AttributeStore live;
+  for (std::size_t step = 0; step < ops.size(); ++step) {
+    for (const auto& c : columns) (void)live.ComputeStats(c);  // warm
+    ops[step].second(&live);
+    AttributeStore fresh;
+    for (std::size_t i = 0; i <= step; ++i) ops[i].second(&fresh);
+    for (const auto& c : columns) {
+      ExpectSameStats(live, fresh, c, ops[step].first);
+    }
+  }
+
+  // Load replaces every column.
+  AttributeStore other;
+  ASSERT_TRUE(other.AddColumn("v", AttrType::kInt64).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(other.PutRow(i, {{"v", std::int64_t{50 + i}}}).ok());
+  }
+  const std::string path = TempPath("attr_stats_load");
+  BinaryWriter w(0xA77);
+  other.Save(&w);
+  ASSERT_TRUE(w.WriteTo(path).ok());
+  auto r = BinaryReader::Open(path, 0xA77);
+  ASSERT_TRUE(r.ok());
+  for (const auto& c : columns) (void)live.ComputeStats(c);
+  ASSERT_TRUE(live.Load(&*r).ok());
+  std::remove(path.c_str());
+  for (const auto& c : columns) ExpectSameStats(live, other, c, "load");
+
+  // Move-assignment: the target answers for the moved-in columns, the
+  // moved-from store for none.
+  AttributeStore target;
+  ASSERT_TRUE(target.AddColumn("v", AttrType::kInt64).ok());
+  (void)target.ComputeStats("v");
+  target = std::move(live);
+  for (const auto& c : columns) ExpectSameStats(target, other, c, "move");
+  EXPECT_EQ(live.ComputeStats("v").status().code(),  // NOLINT(bugprone-use-after-move)
+            StatusCode::kNotFound);
+}
+
+TEST(AttributeStoreTest, StatsScanOncePerWriteEpoch) {
+  Counter& computed =
+      Registry::Global().GetCounter("vdb_attr_stats_computed_total");
+  AttributeStore attrs;
+  ASSERT_TRUE(attrs.AddColumn("v", AttrType::kDouble).ok());
+  ASSERT_TRUE(attrs.AddColumn("w", AttrType::kInt64).ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(attrs.PutRow(i, {{"v", i * 0.5}}).ok());
+  }
+  const std::uint64_t before = computed.Value();
+  for (int q = 0; q < 100; ++q) {
+    ASSERT_TRUE(attrs.ComputeStats("v").ok());
+    ASSERT_TRUE(attrs.ComputeStats("w").ok());
+  }
+  EXPECT_EQ(computed.Value() - before, 2u);  // once per column
+  EXPECT_FALSE(attrs.ComputeStats("missing").ok());
+  EXPECT_EQ(computed.Value() - before, 2u);
+  ASSERT_TRUE(attrs.PutRow(100, {{"v", 1e9}}).ok());  // new epoch
+  EXPECT_DOUBLE_EQ(attrs.ComputeStats("v")->max, 1e9);
+  EXPECT_EQ(computed.Value() - before, 3u);
+}
+
 // -------------------------------------------------------------------- WAL
 
 struct CollectingVisitor : Wal::Visitor {
@@ -124,6 +234,34 @@ struct CollectingVisitor : Wal::Visitor {
   }
   void OnDelete(VectorId id) override { ops.push_back({false, id, {}, {}}); }
 };
+
+// The table-sliced CRC must equal the plain bitwise CRC-32 (reflected,
+// polynomial 0xEDB88320) at every length and alignment: every WAL frame,
+// checkpoint and index snapshot on disk carries it.
+TEST(WalTest, Crc32MatchesBitwiseReference) {
+  auto reference = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(Wal::Crc32(check, sizeof(check)), 0xCBF43926u);
+  Rng rng(5);
+  std::vector<std::uint8_t> buf(300);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.Next(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n + offset <= buf.size(); n += 1 + n / 8) {
+      ASSERT_EQ(Wal::Crc32(buf.data() + offset, n),
+                reference(buf.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
 
 TEST(WalTest, RoundTrip) {
   std::string path = TempPath("wal_rt");
